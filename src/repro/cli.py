@@ -183,34 +183,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         else:
             candidates = list(range(reader.num_blocks))
 
-        from collections import OrderedDict
-
-        from repro.storage.buffer import BufferStats
-
         # Stage timing runs through repro.obs — the sanctioned clock
         # (R008) — so the same numbers the CLI prints also land in the
         # registry/tracer whenever the global --metrics flag is up.
-        stats = BufferStats()
-        cache: "OrderedDict[int, list]" = OrderedDict()
-        stage_ms = {"decode": 0.0, "total": 0.0}
-
-        def read_cached(position: int) -> list:
-            block = cache.get(position) if args.decoded_cache > 0 else None
-            if block is not None:
-                cache.move_to_end(position)
-                stats.decoded_hits += 1
-                return block
-            t0 = _obs.now_ms()
-            block = reader.read_block(position)
-            stage_ms["decode"] += _obs.now_ms() - t0
-            if args.decoded_cache > 0:
-                stats.decoded_misses += 1
-                cache[position] = block
-                if len(cache) > args.decoded_cache:
-                    cache.popitem(last=False)
-                    stats.decoded_evictions += 1
-            return block
-
+        decode_ms = total_ms = 0.0
         matches = 0
         repeats = max(1, args.repeat)
         with _obs.span(
@@ -223,27 +199,26 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 matches = 0
                 t0 = _obs.now_ms()
                 for position in candidates:
-                    for t in read_cached(position):
+                    t1 = _obs.now_ms()
+                    block = reader.read_block(position)
+                    decode_ms += _obs.now_ms() - t1
+                    for t in block:
                         if lo <= t[pos] <= hi:
                             matches += 1
                             if repeat == 0 and matches <= args.limit:
                                 print(schema.decode_tuple(t))
-                stage_ms["total"] += _obs.now_ms() - t0
+                total_ms += _obs.now_ms() - t0
         reg = _obs.REGISTRY
         if reg is not None:
             reg.inc("cli.query.matches", matches)
             reg.inc("cli.query.candidate_blocks", len(candidates))
-            reg.observe("cli.query.decode_ms", stage_ms["decode"])
-            reg.observe("cli.query.total_ms", stage_ms["total"])
+            reg.observe("cli.query.decode_ms", decode_ms)
+            reg.observe("cli.query.total_ms", total_ms)
         print(f"-- {matches} matching rows; decoded {len(candidates)} of "
               f"{reader.num_blocks} blocks (N = {len(candidates)})")
-        if args.repeat > 1 or args.decoded_cache > 0:
-            print(f"-- decoded cache: {stats.decoded_hits} hits, "
-                  f"{stats.decoded_misses} misses, "
-                  f"{stats.decoded_evictions} evictions "
-                  f"(hit rate {stats.decoded_hit_rate:.1%})")
-            print(f"-- stages: decode {stage_ms['decode']:.2f} ms "
-                  f"within total {stage_ms['total']:.2f} ms "
+        if args.repeat > 1:
+            print(f"-- stages: decode {decode_ms:.2f} ms "
+                  f"within total {total_ms:.2f} ms "
                   f"over {repeats} run(s)")
     return 0
 
@@ -653,12 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("LO", "HI"))
     p.add_argument("--limit", type=int, default=20,
                    help="rows to print (count is always exact)")
-    p.add_argument("--decoded-cache", type=int, default=0, metavar="BLOCKS",
-                   help="LRU-cache up to this many decoded blocks "
-                        "(0 disables; see docs/PERFORMANCE.md)")
     p.add_argument("--repeat", type=int, default=1,
-                   help="run the query this many times (with --decoded-cache "
-                        "the repeats hit the cache; counters are printed)")
+                   help="run the query this many times and print the "
+                        "decode-vs-total stage timings")
     p.set_defaults(func=_cmd_query)
     return parser
 

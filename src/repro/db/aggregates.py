@@ -6,9 +6,10 @@ where the common query is an *aggregate* over a range, not a tuple
 fetch.  This module runs COUNT / SUM / MIN / MAX / AVG over an
 AVQ-compressed table and exploits the compressed layout twice:
 
-* the candidate block set comes from the same access-path machinery as
-  tuple selection (secondary-index buckets or the clustered primary
-  range), so untouched blocks are never read — let alone decoded;
+* the candidate block set comes from the table's own planner
+  (:meth:`Table.plan`), and the blocks are read by its one block
+  executor, so untouched blocks are never read — let alone decoded —
+  and every read goes through the integrity guard;
 * when the aggregate target *is* the clustering prefix and the
   predicate covers whole blocks, MIN/MAX/COUNT can be answered from the
   block directory (first/last ordinal, tuple count) without decoding
@@ -26,7 +27,7 @@ from typing import Optional
 
 from repro.db.query import RangeQuery
 from repro.db.table import Table
-from repro.errors import QueryError
+from repro.errors import QuarantinedBlockError, QueryError
 from repro.storage.avqfile import AVQFile
 
 __all__ = ["AggregateResult", "aggregate"]
@@ -62,6 +63,13 @@ def aggregate(
     other domain types the ordinal is returned as-is (an "average
     department" has no meaning anyway; MIN/MAX ordinals can be decoded
     through the domain by the caller).
+
+    Block reads honour the table's degraded-read policy: under
+    ``"repair"`` a corrupt block is repaired and the answer is exact;
+    under ``"raise"`` the block is quarantined and
+    :class:`~repro.errors.QuarantinedBlockError` propagates.  Under
+    ``"skip"`` it is raised too, because an :class:`AggregateResult`
+    has no way to report a partial answer.
     """
     function = function.lower()
     if function not in _SUPPORTED:
@@ -73,12 +81,10 @@ def aggregate(
 
     schema = table.schema
     position = schema.position(attribute) if attribute is not None else None
-    bound = [p.bind(schema) for p in query.predicates]
-
-    candidates, access_path = _candidate_blocks(table, query, bound)
+    plan = table.plan(query)
+    bound = plan.bound
 
     directory_hits = 0
-    blocks_read = 0
     count = 0
     total = 0
     minimum: Optional[int] = None
@@ -96,30 +102,38 @@ def aggregate(
         else {}
     )
 
-    for block_id in candidates:
-        if full_block_prunable:
-            answered = _try_directory_answer(
-                table, id_to_position.get(block_id), bound, function
-            )
-            if answered is not None:
-                block_count, block_min, block_max = answered
-                count += block_count
-                if block_min is not None:
-                    minimum = block_min if minimum is None else min(minimum, block_min)
-                if block_max is not None:
-                    maximum = block_max if maximum is None else max(maximum, block_max)
-                directory_hits += 1
-                continue
-        tuples = storage.read_block_id(block_id)
-        blocks_read += 1
-        for t in tuples:
-            if all(lo <= t[pos] <= hi for pos, lo, hi in bound):
-                count += 1
-                if position is not None:
-                    v = t[position]
-                    total += v
-                    minimum = v if minimum is None else min(minimum, v)
-                    maximum = v if maximum is None else max(maximum, v)
+    pending = []
+    for block_id in plan.block_ids:
+        # id_to_position is empty unless directory answers are possible.
+        answered = _try_directory_answer(
+            table, id_to_position.get(block_id), bound, function
+        )
+        if answered is None:
+            pending.append(block_id)
+            continue
+        block_count, block_min, block_max = answered
+        count += block_count
+        if block_min is not None:
+            minimum = block_min if minimum is None else min(minimum, block_min)
+        if block_max is not None:
+            maximum = block_max if maximum is None else max(maximum, block_max)
+        directory_hits += 1
+
+    result = table._execute(plan._replace(block_ids=pending))
+    if result.skipped_blocks:
+        raise QuarantinedBlockError(
+            f"aggregate over {table.name!r} cannot skip quarantined "
+            f"blocks {result.skipped_blocks}",
+            block_id=result.skipped_blocks[0],
+            detected_by="quarantine",
+        )
+    for t in result.tuples:
+        count += 1
+        if position is not None:
+            v = t[position]
+            total += v
+            minimum = v if minimum is None else min(minimum, v)
+            maximum = v if maximum is None else max(maximum, v)
 
     shift = 0
     if position is not None:
@@ -148,47 +162,10 @@ def aggregate(
         attribute=attribute,
         value=value,
         tuples_matched=count,
-        blocks_read=blocks_read,
+        blocks_read=result.blocks_read,
         blocks_answered_from_directory=directory_hits,
-        access_path=access_path,
+        access_path=plan.access_path,
     )
-
-
-def _candidate_blocks(table: Table, query: RangeQuery, bound):
-    """Reuse the Table's access-path choice to get candidate block ids."""
-    result = None
-    if not query.predicates:
-        return [bid for bid, _ in _block_ids(table)], "scan"
-    leading = next((b for b in bound if b[0] == 0), None)
-    if leading is not None:
-        _, lo, hi = leading
-        weights = table.schema.mapper.weights
-        block_ids = table.primary_index.range_blocks(
-            lo * weights[0], (hi + 1) * weights[0] - 1
-        )
-        return block_ids, "primary"
-    best = None
-    for pred, (pos, lo, hi) in zip(query.predicates, bound):
-        idx = table.secondary_indices.get(pred.attribute)
-        if idx is not None:
-            cand = idx.range_lookup(lo, hi)
-            if best is None or len(cand) < len(best[0]):
-                best = (cand, f"secondary:{pred.attribute}")
-        if lo == hi:
-            hidx = table.hash_indices.get(pred.attribute)
-            if hidx is not None:
-                cand = hidx.lookup(lo)
-                if best is None or len(cand) < len(best[0]):
-                    best = (cand, f"hash:{pred.attribute}")
-    if best is not None:
-        return best
-    return [bid for bid, _ in _block_ids(table)], "scan"
-
-
-def _block_ids(table: Table):
-    storage = table.storage
-    for position in range(storage.num_blocks):
-        yield storage.block_ids[position], position
 
 
 def _whole_block_coverage_possible(table, bound, position, function) -> bool:

@@ -165,23 +165,9 @@ class QueryPlanner:
     def execute(self, query: RangeQuery) -> QueryResult:
         """Run the query along the chosen plan's path.
 
-        The Table's own path machinery executes the plan; the planner
-        only decides *which* path.
+        The planner only decides *which* path; :meth:`Table.plan` fetches
+        that path's candidate blocks and the table's block executor runs
+        them.
         """
-        plan = self.choose(query)
-        bound = [p.bind(self._table.schema) for p in query.predicates]
-        if plan.path == "scan":
-            return self._table._scan_all(bound)
-        if plan.path == "primary":
-            leading = next(b for b in bound if b[0] == 0)
-            return self._table._select_clustered(leading, bound)
-        kind, attribute = plan.path.split(":", 1)
-        pred = next(p for p in query.predicates if p.attribute == attribute)
-        pos, lo, hi = pred.bind(self._table.schema)
-        if kind == "hash":
-            block_ids = self._table.hash_indices[attribute].lookup(lo)
-        else:
-            block_ids = self._table.secondary_indices[attribute].range_lookup(
-                lo, hi
-            )
-        return self._table._filter_blocks(block_ids, bound, access_path=plan.path)
+        path = self.choose(query).path
+        return self._table._execute(self._table.plan(query, path))

@@ -10,12 +10,12 @@ quantity Figure 5.8 tabulates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs.profile import QueryProfile
 from repro.relational.algebra import RangePredicate
 
-__all__ = ["RangeQuery", "QueryResult"]
+__all__ = ["RangeQuery", "QueryResult", "SelectPlan"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,21 @@ class RangeQuery:
             f"{p.lo} <= {p.attribute} <= {p.hi}" for p in self.predicates
         )
         return f"RangeQuery({parts})"
+
+
+class SelectPlan(NamedTuple):
+    """A planned select: what the block executor needs to run it.
+
+    ``bound`` holds the query's predicates bound to ``(position, lo,
+    hi)`` ordinal ranges; ``block_ids`` are the candidate blocks in read
+    order; ``access_path`` labels how they were chosen ("primary",
+    "secondary:X", "hash:X", "scan", or a snapshot's
+    "snapshot-directory" / "snapshot-scan").
+    """
+
+    bound: List[Tuple[int, int, int]]
+    block_ids: List[int]
+    access_path: str
 
 
 @dataclass

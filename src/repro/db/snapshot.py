@@ -10,11 +10,23 @@ property the serving layer's reader threads rely on (docs/SERVING.md).
 
 Snapshots deliberately do **not** reuse the table's live indices; those
 track the *current* state.  Instead they plan from their own frozen
-directory: the ``(first, last)`` phi-ordinal range per block gives the
-same contiguous-run pruning the primary index would for a leading-
-attribute predicate, and a point probe finds its one covering block the
-same way.  Payload decodes bypass the decoded-block cache for the same
-reason — that cache answers "what does this block hold *now*".
+directory: a leading-attribute predicate bisects the ascending
+first/last ordinals to the contiguous run of blocks it can touch (the
+same pruning the primary index gives a live select), and a point probe
+finds its one covering block the same way.  The plan then runs through
+the table's one block executor (:meth:`Table.select`'s), so snapshot
+selects get the same cancel hook, degraded-read policy and
+:class:`~repro.obs.profile.QueryProfile`.
+
+Every payload a snapshot decodes is first checked against the CRC32 in
+the snapshot's *own* directory — not the live table's checksums, since
+a stashed pre-image's block may since have been rewritten or split
+away.  A mismatch, like a quarantined block id, is answered with
+:class:`~repro.errors.QuarantinedBlockError` (the block is quarantined
+for the live table too) or skipped under the ``"skip"`` policy.
+Snapshot reads never repair: a repair rewrites a block, and only the
+writer writes blocks.  Payload decodes bypass the decoded-block cache,
+which answers "what does this block hold *now*".
 
 A snapshot pins superseded block versions, so it must be closed;
 ``with table.read_snapshot() as snap: ...`` is the idiomatic form.
@@ -22,11 +34,12 @@ A snapshot pins superseded block versions, so it must be closed;
 
 from __future__ import annotations
 
+import zlib
+from bisect import bisect_left, bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.db.query import QueryResult, RangeQuery
-from repro.errors import QueryCancelled, QueryError
-from repro.obs import runtime as _obs
+from repro.db.query import QueryResult, RangeQuery, SelectPlan
+from repro.errors import CorruptionError, QueryError
 from repro.storage.mvcc import BlockVersionStore, SnapshotHandle
 
 __all__ = ["TableSnapshot"]
@@ -45,6 +58,7 @@ class TableSnapshot:
         self._store = store
         self._handle = handle
         self._closed = False
+        self._crcs = {e[0]: e[4] for e in handle.directory}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -82,61 +96,46 @@ class TableSnapshot:
     ) -> QueryResult:
         """Execute a conjunctive range query against the frozen state.
 
-        Planning mirrors the live table's first preference: a predicate
-        on the leading attribute prunes to the contiguous run of
-        directory entries whose ordinal range overlaps it; anything else
-        scans every entry.  Results are ordinal tuples, exactly as
-        :meth:`Table.select` returns them.
-
-        ``should_cancel`` is the cooperative cancellation hook the
-        serving layer threads in (docs/SERVING.md): it is polled before
-        every block decode, and when it returns ``True`` the select
-        aborts with :class:`~repro.errors.QueryCancelled` instead of
-        finishing work whose deadline has already fired.  Cancellation
-        is block-granular — a read that is *inside* a stalled disk
-        access cannot be interrupted, but it stops at the next boundary.
+        Results are ordinal tuples, exactly as :meth:`Table.select`
+        returns them.  ``should_cancel`` is the cooperative cancellation
+        hook the serving layer threads in (docs/SERVING.md): it is
+        polled before every block read, and when it returns ``True``
+        the select aborts with :class:`~repro.errors.QueryCancelled`
+        instead of finishing work whose deadline has already fired.
+        Cancellation is block-granular — a read that is *inside* a
+        stalled disk access cannot be interrupted, but it stops at the
+        next boundary.
         """
         self._require_open()
-        bound = [p.bind(self._table.schema) for p in query.predicates]
-        leading = next((b for b in bound if b[0] == 0), None)
-        if leading is not None:
-            weights = self._table.schema.mapper.weights
-            lo_ord = leading[1] * weights[0]
-            hi_ord = (leading[2] + 1) * weights[0] - 1
-            candidates = [
-                e
-                for e in self._handle.directory
-                if not (e[2] < lo_ord or e[1] > hi_ord)
-            ]
-            access_path = "snapshot-directory"
-        else:
-            candidates = list(self._handle.directory)
-            access_path = "snapshot-scan"
-        out: List[Tuple[int, ...]] = []
-        examined = 0
-        with _obs.span(
-            "snapshot.select",
-            table=self._table.name,
+        return self._table._execute(
+            self.plan(query),
+            self._read_tuples,
+            span="snapshot.select",
+            should_cancel=should_cancel,
             csn=self.csn,
-            candidates=len(candidates),
-            codec_path=self._table._codec_path(),
-        ):
-            for block_id, _first, _last, _count in candidates:
-                if should_cancel is not None and should_cancel():
-                    raise QueryCancelled(
-                        f"select on {self._table.name!r} cancelled at "
-                        f"block {block_id} (csn {self.csn})"
-                    )
-                for t in self._read_tuples(block_id):
-                    examined += 1
-                    if all(lo <= t[pos] <= hi for pos, lo, hi in bound):
-                        out.append(t)
-        return QueryResult(
-            tuples=out,
-            blocks_read=len(candidates),
-            tuples_examined=examined,
-            access_path=access_path,
-            candidate_blocks=[e[0] for e in candidates],
+        )
+
+    def plan(self, query: RangeQuery) -> SelectPlan:
+        """Candidate blocks from the frozen directory.
+
+        A predicate on the leading attribute keeps the contiguous run of
+        entries whose ordinal range overlaps it ("snapshot-directory");
+        anything else scans every entry ("snapshot-scan").
+        """
+        bound = [p.bind(self._table.schema) for p in query.predicates]
+        directory = self._handle.directory
+        leading = next((b for b in bound if b[0] == 0), None)
+        if leading is None:
+            return SelectPlan(
+                bound, [e[0] for e in directory], "snapshot-scan"
+            )
+        w0 = self._table.schema.mapper.weights[0]
+        start = bisect_left(self._handle.lasts, leading[1] * w0)
+        stop = bisect_right(self._handle.firsts, (leading[2] + 1) * w0 - 1)
+        return SelectPlan(
+            bound,
+            [e[0] for e in directory[start:stop]],
+            "snapshot-directory",
         )
 
     def scan(self) -> List[Tuple[int, ...]]:
@@ -150,10 +149,10 @@ class TableSnapshot:
         mapper = self._table.schema.mapper
         mapper.validate(t)
         ordinal = mapper.phi(t)
-        entry = self._covering_entry(ordinal)
-        if entry is None:
+        i = bisect_left(self._handle.lasts, ordinal)
+        if i == len(self._handle.lasts) or self._handle.firsts[i] > ordinal:
             return False
-        return t in self._read_tuples(entry[0])
+        return t in self._read_tuples(self._handle.directory[i][0])
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -181,18 +180,28 @@ class TableSnapshot:
         if self._closed:
             raise QueryError("snapshot is closed")
 
-    def _covering_entry(
-        self, ordinal: int
-    ) -> Optional[Tuple[int, int, int, int]]:
-        for entry in self._handle.directory:
-            if entry[1] <= ordinal <= entry[2]:
-                return entry
-        return None
-
     def _read_tuples(self, block_id: int) -> List[Tuple[int, ...]]:
+        """One block as of the snapshot, CRC-checked before decoding."""
+        table = self._table
+        integrity = table.integrity
+        integrity.quarantine.check(block_id)
+        # The fallback reads the disk, not the buffer pool: the pool
+        # verifies against the live checksums, which a concurrent writer
+        # updates a moment after it rewrites the block.
         payload = self._store.read(
             block_id,
             self._handle.csn,
-            lambda: self._table._current_payload(block_id),
+            lambda: table._disk().read_block(block_id),
         )
-        return self._table.storage.decode_payload(payload)
+        expected = self._crcs.get(block_id)
+        if expected is not None and zlib.crc32(payload) != expected:
+            integrity.resolve(
+                CorruptionError(
+                    f"payload checksum mismatch on disk block {block_id} "
+                    f"(snapshot csn {self.csn})",
+                    block_id=block_id,
+                    detected_by="crc32",
+                ),
+                repair=False,
+            )
+        return table.storage.decode_payload(payload)

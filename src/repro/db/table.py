@@ -30,8 +30,13 @@ from typing import (
 )
 
 from repro.core.codec import BlockCodec
-from repro.errors import CorruptionError, QuarantinedBlockError, QueryError
-from repro.db.query import QueryResult, RangeQuery
+from repro.errors import (
+    CorruptionError,
+    QuarantinedBlockError,
+    QueryCancelled,
+    QueryError,
+)
+from repro.db.query import QueryResult, RangeQuery, SelectPlan
 from repro.obs import runtime as _obs
 from repro.obs.profile import QueryProfile, QueryProfiler
 from repro.index.hashindex import ExtendibleHashIndex
@@ -391,52 +396,146 @@ class Table:
     # ------------------------------------------------------------------
 
     def select(self, query: RangeQuery) -> QueryResult:
-        """Execute a conjunctive range query, choosing an access path.
+        """Execute a conjunctive range query along :meth:`plan`'s path."""
+        return self._execute(self.plan(query))
+
+    def plan(
+        self, query: RangeQuery, path: Optional[str] = None
+    ) -> SelectPlan:
+        """Bind ``query`` and choose its candidate blocks.
 
         Path choice, in order of preference:
 
-        1. A predicate on the *leading* attribute uses the primary index:
-           the relation is phi-clustered, so matching tuples occupy one
-           contiguous run of blocks.
-        2. Any predicate attribute with a secondary index uses the index
-           with the smallest candidate block set.
-        3. Otherwise, full scan.
+        1. ``primary`` — a predicate on the *leading* attribute uses the
+           primary index: the relation is phi-clustered, so matching
+           tuples occupy one contiguous run of blocks.
+        2. ``hash:X`` / ``secondary:X`` — the indexed predicate with the
+           smallest candidate block set.
+        3. ``scan`` — every block.
+
+        ``path`` forces one of those labels instead (the cost-based
+        :class:`~repro.db.planner.QueryPlanner` decides by estimate).
         """
-        if not query.predicates:
-            return self._scan_all()
         bound = [p.bind(self._schema) for p in query.predicates]
-
         leading = next((b for b in bound if b[0] == 0), None)
-        if leading is not None:
-            return self._select_clustered(leading, bound)
-
-        best: Optional[Tuple[List[int], str]] = None
-        for pred, (pos, lo, hi) in zip(query.predicates, bound):
-            if lo == hi:
-                hidx = self._hash_indices.get(pred.attribute)
-                if hidx is not None:
-                    candidates = hidx.lookup(lo)
-                    if best is None or len(candidates) < len(best[0]):
-                        best = (candidates, f"hash:{pred.attribute}")
-            idx = self._secondaries.get(pred.attribute)
-            if idx is None:
-                continue
-            candidates = idx.range_lookup(lo, hi)
-            if best is None or len(candidates) < len(best[0]):
-                best = (candidates, f"secondary:{pred.attribute}")
-        if best is not None:
-            return self._filter_blocks(
-                best[0], bound, access_path=best[1]
+        if leading is not None and path in (None, "primary"):
+            w0 = self._schema.mapper.weights[0]
+            # From the floor of lo - 1, not of lo: copies of a tuple
+            # whose ordinal is exactly lo may end the block before one
+            # that starts at lo (packing splits runs of duplicates).
+            block_ids = self._primary.range_blocks(
+                leading[1] * w0 - 1, (leading[2] + 1) * w0 - 1
             )
-        return self._scan_all(bound)
+            return SelectPlan(bound, block_ids, "primary")
+        best: Optional[SelectPlan] = None
+        for pred, (_, lo, hi) in zip(query.predicates, bound):
+            offers = []
+            hidx = self._hash_indices.get(pred.attribute)
+            if hidx is not None and lo == hi:
+                offers.append((f"hash:{pred.attribute}", hidx.lookup(lo)))
+            idx = self._secondaries.get(pred.attribute)
+            if idx is not None:
+                offers.append(
+                    (f"secondary:{pred.attribute}", idx.range_lookup(lo, hi))
+                )
+            for label, block_ids in offers:
+                if path in (None, label) and (
+                    best is None or len(block_ids) < len(best.block_ids)
+                ):
+                    best = SelectPlan(bound, block_ids, label)
+        if best is not None:
+            return best
+        if path not in (None, "scan"):
+            raise QueryError(
+                f"access path {path!r} does not apply to {query!r}"
+            )
+        return SelectPlan(bound, self._storage.block_ids, "scan")
 
-    def _select_clustered(self, leading, bound) -> QueryResult:
-        _, lo, hi = leading
-        weights = self._schema.mapper.weights
-        lo_ordinal = lo * weights[0]
-        hi_ordinal = (hi + 1) * weights[0] - 1
-        block_ids = self._primary.range_blocks(lo_ordinal, hi_ordinal)
-        return self._filter_blocks(block_ids, bound, access_path="primary")
+    def _execute(
+        self,
+        plan: SelectPlan,
+        read: Optional[Callable[[int], List[Tuple[int, ...]]]] = None,
+        *,
+        span: str = "query.select",
+        should_cancel: Optional[Callable[[], bool]] = None,
+        **span_attrs: object,
+    ) -> QueryResult:
+        """The one block executor behind every select.
+
+        Reads each candidate block through ``read`` (default: the live
+        guarded :meth:`_read_block_id`; snapshots pass their
+        CRC-verified version read) and keeps the tuples inside every
+        bound range.  ``should_cancel`` is polled before each block; a
+        ``True`` aborts with :class:`~repro.errors.QueryCancelled`.  A
+        :class:`~repro.errors.QuarantinedBlockError` is skipped and
+        reported under the "skip" degraded-read policy and raised under
+        any other.  The :class:`~repro.obs.profile.QueryProfile` and the
+        ``query.*`` metrics are built here for every caller.
+        """
+        if read is None:
+            read = self._read_block_id
+        bound = plan.bound
+        profiler = QueryProfiler(
+            self._disk().stats,
+            self._buffer.stats if self._buffer is not None else None,
+        )
+        out: List[Tuple[int, ...]] = []
+        examined = 0
+        skipped: List[int] = []
+        fetch_ms = 0.0
+        filter_ms = 0.0
+        with _obs.span(
+            span,
+            table=self._name,
+            access_path=plan.access_path,
+            candidates=len(plan.block_ids),
+            codec_path=self._codec_path(),
+            **span_attrs,
+        ):
+            for block_id in plan.block_ids:
+                if should_cancel is not None and should_cancel():
+                    raise QueryCancelled(
+                        f"select on {self._name!r} cancelled at block "
+                        f"{block_id}"
+                    )
+                t0 = _obs.now_ms()
+                try:
+                    tuples = read(block_id)
+                except QuarantinedBlockError:
+                    fetch_ms += _obs.now_ms() - t0
+                    if not self._skip_degraded():
+                        raise
+                    skipped.append(block_id)
+                    continue
+                t1 = _obs.now_ms()
+                fetch_ms += t1 - t0
+                for t in tuples:
+                    examined += 1
+                    if all(lo <= t[pos] <= hi for pos, lo, hi in bound):
+                        out.append(t)
+                filter_ms += _obs.now_ms() - t1
+        profile = profiler.finish(
+            access_path=plan.access_path,
+            candidate_blocks=len(plan.block_ids),
+            tuples_examined=examined,
+            matched=len(out),
+            skipped_blocks=len(skipped),
+            stages={"fetch_decode": fetch_ms, "filter": filter_ms},
+        )
+        self._publish_query_metrics(profile)
+        return QueryResult(
+            tuples=out,
+            blocks_read=len(plan.block_ids) - len(skipped),
+            tuples_examined=examined,
+            access_path=plan.access_path,
+            io_ms=profile.io_ms,
+            # A scan has no candidate set to report: it reads everything.
+            candidate_blocks=(
+                [] if plan.access_path == "scan" else list(plan.block_ids)
+            ),
+            skipped_blocks=skipped,
+            profile=profile,
+        )
 
     def _read_block_id(self, block_id: int):
         """Fetch and decode one block, through the caches where present.
@@ -517,7 +616,9 @@ class Table:
         if self._mvcc is None:
             from repro.storage.mvcc import BlockVersionStore
 
-            self._mvcc = BlockVersionStore(storage.directory_entries())
+            self._mvcc = BlockVersionStore(
+                storage.directory_entries_checked()
+            )
         return self._mvcc
 
     def read_snapshot(self) -> "TableSnapshot":
@@ -552,120 +653,7 @@ class Table:
     def _mvcc_publish(self) -> None:
         """Seal the current epoch at a commit boundary."""
         if self._mvcc is not None and isinstance(self._storage, AVQFile):
-            self._mvcc.publish(self._storage.directory_entries())
-
-    def _filter_blocks(self, block_ids, bound, *, access_path) -> QueryResult:
-        disk = self._disk()
-        start_ms = disk.stats.elapsed_ms
-        profiler = QueryProfiler(
-            disk.stats,
-            self._buffer.stats if self._buffer is not None else None,
-        )
-        out: List[Tuple[int, ...]] = []
-        examined = 0
-        skipped: List[int] = []
-        fetch_ms = 0.0
-        filter_ms = 0.0
-        with _obs.span(
-            "query.select",
-            table=self._name,
-            access_path=access_path,
-            candidates=len(block_ids),
-            codec_path=self._codec_path(),
-        ):
-            for block_id in block_ids:
-                t0 = _obs.now_ms()
-                try:
-                    tuples = self._read_block_id(block_id)
-                except QuarantinedBlockError:
-                    fetch_ms += _obs.now_ms() - t0
-                    if not self._skip_degraded():
-                        raise
-                    skipped.append(block_id)
-                    continue
-                t1 = _obs.now_ms()
-                fetch_ms += t1 - t0
-                for t in tuples:
-                    examined += 1
-                    if all(lo <= t[pos] <= hi for pos, lo, hi in bound):
-                        out.append(t)
-                filter_ms += _obs.now_ms() - t1
-        profile = profiler.finish(
-            access_path=access_path,
-            candidate_blocks=len(block_ids),
-            tuples_examined=examined,
-            matched=len(out),
-            skipped_blocks=len(skipped),
-            stages={"fetch_decode": fetch_ms, "filter": filter_ms},
-        )
-        self._publish_query_metrics(profile)
-        return QueryResult(
-            tuples=out,
-            blocks_read=len(block_ids) - len(skipped),
-            tuples_examined=examined,
-            access_path=access_path,
-            io_ms=disk.stats.elapsed_ms - start_ms,
-            candidate_blocks=list(block_ids),
-            skipped_blocks=skipped,
-            profile=profile,
-        )
-
-    def _scan_all(self, bound=()) -> QueryResult:
-        # A full scan visits every block by id through the guarded read
-        # path (caches, quarantine, degraded-read policy); the heap
-        # baseline has no integrity layer and scans storage directly.
-        if isinstance(self._storage, AVQFile):
-            result = self._filter_blocks(
-                self._storage.block_ids, bound, access_path="scan"
-            )
-            result.candidate_blocks = []
-            return result
-        disk = self._disk()
-        start_ms = disk.stats.elapsed_ms
-        profiler = QueryProfiler(disk.stats)
-        out: List[Tuple[int, ...]] = []
-        examined = 0
-        blocks = 0
-        fetch_ms = 0.0
-        filter_ms = 0.0
-        with _obs.span(
-            "query.select",
-            table=self._name,
-            access_path="scan",
-            codec_path=self._codec_path(),
-        ):
-            block_iter = iter(self._storage.iter_blocks())
-            while True:
-                t0 = _obs.now_ms()
-                try:
-                    _, tuples = next(block_iter)
-                except StopIteration:
-                    fetch_ms += _obs.now_ms() - t0
-                    break
-                t1 = _obs.now_ms()
-                fetch_ms += t1 - t0
-                blocks += 1
-                for t in tuples:
-                    examined += 1
-                    if all(lo <= t[pos] <= hi for pos, lo, hi in bound):
-                        out.append(t)
-                filter_ms += _obs.now_ms() - t1
-        profile = profiler.finish(
-            access_path="scan",
-            candidate_blocks=blocks,
-            tuples_examined=examined,
-            matched=len(out),
-            stages={"fetch_decode": fetch_ms, "filter": filter_ms},
-        )
-        self._publish_query_metrics(profile)
-        return QueryResult(
-            tuples=out,
-            blocks_read=blocks,
-            tuples_examined=examined,
-            access_path="scan",
-            io_ms=disk.stats.elapsed_ms - start_ms,
-            profile=profile,
-        )
+            self._mvcc.publish(self._storage.directory_entries_checked())
 
     def _codec_path(self) -> str:
         """Which decode implementation this table's reads run through."""

@@ -1,7 +1,8 @@
 """Per-query I/O profiles: EXPLAIN ANALYZE for the Section 5.3 queries.
 
 Figure 5.8's metric is ``N`` — data blocks accessed per range query.
-:class:`QueryProfile` captures exactly that for every *live* query, plus
+:class:`QueryProfile` captures exactly that for every select (live or
+snapshot, since both run through one block executor), plus
 the Figure 5.9 stage decomposition (I/O time, decode time, filter time)
 and the cache story (raw-payload and decoded-block hits), so any single
 ``table.select`` can be explained the way the paper explains its
@@ -119,7 +120,10 @@ class QueryProfiler:
     :meth:`finish` with the query-shaped facts (access path, candidate
     and match counts, stage times).  The disk/buffer numbers are the
     *deltas* since construction, so concurrent-free single-threaded use
-    attributes exactly this query's I/O to this profile.
+    attributes exactly this query's I/O to this profile.  Snapshot
+    selects on the serving layer's reader threads share one disk, so
+    their profiles' disk deltas can include I/O from concurrent readers
+    (and the writer).
     """
 
     def __init__(

@@ -264,8 +264,7 @@ class Tracer:
     def stage_totals(self) -> Dict[str, float]:
         """``{span name: summed duration_ms}`` over retained spans.
 
-        The :class:`~repro.perf.timer.StageTimer`-compatible view: the
-        fig59 driver and the CLI report per-stage totals from here
+        The fig59 driver and the CLI report per-stage totals from here
         instead of threading a timer object through every call.
         """
         totals: Dict[str, float] = {}

@@ -2,18 +2,18 @@
 
 "For each of them, we perform the coding 100 times, and then the
 decoding 100 times.  The average times for each operation are then
-computed."  :func:`mean_time_ms` is exactly that; :class:`Stopwatch` is
-the accumulating variant the experiment drivers use.
+computed."  :func:`mean_time_ms` is exactly that.  Per-stage timing
+lives in :mod:`repro.obs` spans (``Tracer.stage_totals``).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict
+from typing import Callable
 
 from repro.errors import ReproError
 
-__all__ = ["mean_time_ms", "StageTimer", "Stopwatch"]
+__all__ = ["mean_time_ms"]
 
 
 def mean_time_ms(fn: Callable[[], object], repeats: int = 100) -> float:
@@ -25,86 +25,3 @@ def mean_time_ms(fn: Callable[[], object], repeats: int = 100) -> float:
         fn()
     elapsed = time.perf_counter() - start
     return elapsed * 1000.0 / repeats
-
-
-class Stopwatch:
-    """Accumulate wall time across explicitly bracketed sections."""
-
-    def __init__(self):
-        self._total = 0.0
-        self._started = None
-        self._laps = 0
-
-    def __enter__(self) -> "Stopwatch":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._total += time.perf_counter() - self._started
-        self._started = None
-        self._laps += 1
-
-    @property
-    def total_ms(self) -> float:
-        """Accumulated milliseconds."""
-        return self._total * 1000.0
-
-    @property
-    def laps(self) -> int:
-        """Number of completed sections."""
-        return self._laps
-
-    @property
-    def mean_ms(self) -> float:
-        """Mean milliseconds per section."""
-        if self._laps == 0:
-            return 0.0
-        return self.total_ms / self._laps
-
-
-class StageTimer:
-    """Named per-stage wall-clock accumulation for multi-phase pipelines.
-
-    The parallel codec and the bulk-load path run in distinguishable
-    stages (pack, encode, write, decode, ...); a ``StageTimer`` keeps one
-    :class:`Stopwatch` per stage name so drivers and benchmarks can
-    report where the time went::
-
-        timer = StageTimer()
-        with timer.stage("encode"):
-            payloads = pcodec.encode_blocks(runs)
-        with timer.stage("write"):
-            ...
-        timer.report()   # {"encode": 12.3, "write": 4.5}
-    """
-
-    def __init__(self) -> None:
-        self._stages: Dict[str, Stopwatch] = {}
-
-    def stage(self, name: str) -> Stopwatch:
-        """The stopwatch for ``name``, created on first use.
-
-        Use as a context manager to bracket one occurrence of the stage;
-        repeated uses accumulate.
-        """
-        if not name:
-            raise ReproError("stage name must be non-empty")
-        watch = self._stages.get(name)
-        if watch is None:
-            watch = Stopwatch()
-            self._stages[name] = watch
-        return watch
-
-    def total_ms(self, name: str) -> float:
-        """Accumulated milliseconds of one stage (0.0 if never entered)."""
-        watch = self._stages.get(name)
-        return 0.0 if watch is None else watch.total_ms
-
-    @property
-    def stages(self) -> Dict[str, Stopwatch]:
-        """Live stage map, keyed by name (insertion-ordered)."""
-        return dict(self._stages)
-
-    def report(self) -> Dict[str, float]:
-        """``{stage: total_ms}`` for every stage entered so far."""
-        return {name: w.total_ms for name, w in self._stages.items()}

@@ -45,10 +45,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.db.database import Database
 from repro.db.query import RangeQuery
@@ -226,16 +227,8 @@ class ReproServer:
             if reg is not None:
                 reg.inc("server.drain_timeouts")
         # Phase 3 — cancel stragglers.
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self._connections.clear()
-        for task in list(self._background):
-            task.cancel()
-        if self._background:
-            await asyncio.gather(*self._background, return_exceptions=True)
-        self._background.clear()
+        await _cancel_all(self._connections)
+        await _cancel_all(self._background)
         if self._executor is not None:
             # Never block the event loop on wedged reader threads (a
             # stalled fault-injected read, say); pending work is
@@ -465,13 +458,8 @@ class ReproServer:
         stalled disk read lets go as soon as that read returns, instead
         of finishing the whole scan for nobody.
         """
-        loop = asyncio.get_running_loop()
-        if self._executor is None:
-            raise ServerError("server is not started")
         cancel = threading.Event()
-        future = loop.run_in_executor(
-            self._executor, self._exec_select, request, cancel
-        )
+        future = self._in_executor(self._exec_select, request, cancel)
         try:
             return await asyncio.wait_for(future, timeout=budget_ms / 1000.0)
         except asyncio.TimeoutError:
@@ -492,9 +480,6 @@ class ReproServer:
         — so the client gets ``outcome: unknown`` now and a watcher
         task holds the admission slot until the engine finishes.
         """
-        loop = asyncio.get_running_loop()
-        if self._executor is None:
-            raise ServerError("server is not started")
         flags = {"started": False, "abandoned": False}
 
         async def locked_write() -> Dict[str, Any]:
@@ -502,9 +487,7 @@ class ReproServer:
                 if flags["abandoned"]:
                     raise ServerError("write abandoned at its deadline")
                 flags["started"] = True
-                return await loop.run_in_executor(
-                    self._executor, self._exec_write, request
-                )
+                return await self._in_executor(self._exec_write, request)
 
         task = asyncio.ensure_future(locked_write())
         try:
@@ -552,15 +535,26 @@ class ReproServer:
         watcher.add_done_callback(self._background.discard)
 
     async def _timed_stats(self, budget_ms: float) -> Dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        if self._executor is None:
-            raise ServerError("server is not started")
-        future = loop.run_in_executor(self._executor, self._exec_stats)
+        future = self._in_executor(self._exec_stats)
         try:
             return await asyncio.wait_for(future, timeout=budget_ms / 1000.0)
         except asyncio.TimeoutError:
             self._count("server.deadline_exceeded")
             return deadline_response(budget_ms)
+
+    def _in_executor(
+        self, fn: Callable[..., Dict[str, Any]], *args: Any
+    ) -> "asyncio.Future[Dict[str, Any]]":
+        """Run ``fn(*args)`` on the thread pool in a copy of this context.
+
+        ``run_in_executor`` does not carry contextvars into the thread;
+        the copy keeps the engine's spans nested under ``server.request``.
+        """
+        if self._executor is None:
+            raise ServerError("server is not started")
+        return asyncio.get_running_loop().run_in_executor(
+            self._executor, contextvars.copy_context().run, fn, *args
+        )
 
     def _count(self, metric: str) -> None:
         reg = _obs.REGISTRY
@@ -590,12 +584,17 @@ class ReproServer:
                 RangeQuery(predicates), should_cancel=cancel.is_set
             )
             rows = [schema.decode_tuple(t) for t in result.tuples]
-            return ok_response(
+            response = ok_response(
                 rows=rows,
                 count=len(rows),
                 csn=snapshot.csn,
                 blocks_read=result.blocks_read,
             )
+            if result.degraded:
+                # A "skip"-policy table answered without quarantined
+                # blocks: say so rather than hand out a silent subset.
+                response["skipped_blocks"] = result.skipped_blocks
+            return response
 
     def _exec_write(self, request: Dict[str, Any]) -> Dict[str, Any]:
         table = self._db.table(_field(request, "table", str))
@@ -662,6 +661,23 @@ class ReproServer:
             draining=self._draining,
             tables=tables,
         )
+
+
+async def _cancel_all(tasks: Set[asyncio.Task]) -> None:
+    """Cancel ``tasks`` until every one has finished, then forget them.
+
+    One cancel is not always enough before Python 3.12: ``wait_for``
+    swallows a cancel that lands just as its inner await completes, and
+    a connection task that lost its cancel that way would go on to wait
+    for a next request that never comes — hanging ``stop()``.
+    """
+    pending = set(tasks)
+    while pending:
+        for task in pending:
+            task.cancel()
+        _, pending = await asyncio.wait(pending, timeout=0.05)
+    await asyncio.gather(*tasks, return_exceptions=True)
+    tasks.clear()
 
 
 def _field(request: Dict[str, Any], name: str, kind: type) -> Any:

@@ -648,7 +648,7 @@ class IntegrityManager:
         self._quarantine.quarantine(exc.block_id, str(exc))
         self._invalidate(exc.block_id)
 
-    def resolve(self, exc: CorruptionError) -> None:
+    def resolve(self, exc: CorruptionError, *, repair: bool = True) -> None:
         """Apply the degraded-read policy to a fresh corruption hit.
 
         Quarantines first (containment is unconditional).  Returns
@@ -656,9 +656,11 @@ class IntegrityManager:
         read; otherwise raises :class:`~repro.errors.QuarantinedBlockError`
         chained to the original corruption (the ``"skip"`` policy is
         honoured by *query loops*, which catch that error per block).
+        ``repair=False`` never repairs, whatever the policy: snapshot
+        readers are not the writer, and a repair rewrites a block.
         """
         self.note_corruption(exc)
-        if self._policy == "repair" and self._engine is not None:
+        if repair and self._policy == "repair" and self._engine is not None:
             position = (
                 exc.position
                 if exc.position is not None

@@ -52,9 +52,10 @@ from repro.obs import runtime as _obs
 
 __all__ = ["BlockVersionStore", "SnapshotHandle", "VersionStoreStats"]
 
-#: One directory entry: ``(block_id, first_ordinal, last_ordinal, count)``
-#: — the shape :meth:`AVQFile.directory_entries` produces.
-DirectoryEntry = Tuple[int, int, int, int]
+#: One directory entry: ``(block_id, first_ordinal, last_ordinal, count,
+#: crc32)`` — the shape :meth:`AVQFile.directory_entries_checked`
+#: produces (``crc32`` is ``None`` for a pre-checksum block).
+DirectoryEntry = Tuple[int, int, int, int, Optional[int]]
 
 
 @dataclass
@@ -93,6 +94,10 @@ class SnapshotHandle:
 
     csn: int
     directory: Tuple[DirectoryEntry, ...]
+    #: First and last ordinal of every directory entry, in directory
+    #: order — both ascend, so readers plan with :mod:`bisect`.
+    firsts: Tuple[int, ...]
+    lasts: Tuple[int, ...]
 
 
 class BlockVersionStore:
@@ -102,7 +107,10 @@ class BlockVersionStore:
         self._lock = threading.RLock()
         self._csn = 0
         self._versions: Dict[int, List[_Version]] = {}
-        self._committed: Tuple[DirectoryEntry, ...] = tuple(directory)
+        self._committed: Tuple[DirectoryEntry, ...] = ()
+        self._firsts: Tuple[int, ...] = ()
+        self._lasts: Tuple[int, ...] = ()
+        self._adopt_locked(tuple(directory))
         #: csn -> number of unreleased snapshots pinned at it.
         self._pinned: Dict[int, int] = {}
         self.stats = VersionStoreStats()
@@ -162,7 +170,7 @@ class BlockVersionStore:
             self._csn += 1
             for version in open_versions:
                 version.death_csn = self._csn
-            self._committed = entries
+            self._adopt_locked(entries)
             self.stats.published += 1
             reg = _obs.REGISTRY
             if reg is not None:
@@ -184,7 +192,12 @@ class BlockVersionStore:
             if reg is not None:
                 reg.inc("mvcc.snapshots")
                 reg.set_gauge("mvcc.pinned", float(self.pinned_snapshots))
-            return SnapshotHandle(csn=self._csn, directory=self._committed)
+            return SnapshotHandle(
+                csn=self._csn,
+                directory=self._committed,
+                firsts=self._firsts,
+                lasts=self._lasts,
+            )
 
     def release(self, handle: SnapshotHandle) -> None:
         """Unpin a snapshot; versions nobody can see any more are pruned."""
@@ -248,6 +261,11 @@ class BlockVersionStore:
     # ------------------------------------------------------------------
     # Internals (call with the lock held)
     # ------------------------------------------------------------------
+
+    def _adopt_locked(self, entries: Tuple[DirectoryEntry, ...]) -> None:
+        self._committed = entries
+        self._firsts = tuple(e[1] for e in entries)
+        self._lasts = tuple(e[2] for e in entries)
 
     def _visible_locked(
         self, block_id: int, snapshot_csn: int

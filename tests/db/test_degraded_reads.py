@@ -17,6 +17,7 @@ pre-repair) copy is ever served, including after further mutations.
 
 import pytest
 
+from repro.db.aggregates import aggregate
 from repro.db.database import Database
 from repro.db.query import RangeQuery
 from repro.db.table import Table
@@ -267,3 +268,93 @@ class TestDatabaseIntegration:
         assert table.tuple_ordinal_index is not None
         with pytest.raises(StorageError):
             db.create_table("u", rows, degraded_reads="bogus")
+
+
+class TestAggregateReads:
+    """Aggregates read through the same guarded path as selects."""
+
+    def test_repair_policy_returns_exact_sum_and_repairs(self):
+        table, disk = build("repair")
+        expected = aggregate(table, "sum", "b", ALL).value
+        target = table.storage.block_ids[1]
+        before = disk.read_block(target)
+        disk.rot_block(target)
+        assert aggregate(table, "sum", "b", ALL).value == expected
+        assert table.quarantined_blocks == []
+        assert disk.read_block(target) == before
+
+    def test_raise_policy_quarantines(self):
+        table, disk = build("raise")
+        target = table.storage.block_ids[1]
+        disk.rot_block(target)
+        with pytest.raises(QuarantinedBlockError) as ei:
+            aggregate(table, "sum", "b", ALL)
+        assert ei.value.block_id == target
+        assert target in table.quarantined_blocks
+
+    def test_skip_policy_raises_rather_than_answer_partially(self):
+        table, disk = build("skip")
+        target = rot_and_scrub(table, disk)
+        with pytest.raises(QuarantinedBlockError) as ei:
+            aggregate(table, "sum", "b", ALL)
+        assert ei.value.block_id == target
+
+
+class TestSnapshotReads:
+    """MVCC snapshot selects: CRC-verified, quarantine-aware, no repair."""
+
+    @pytest.mark.parametrize("policy", ["raise", "repair"])
+    def test_rot_raises_typed_and_quarantines(self, policy):
+        table, disk = build(policy)
+        table.enable_mvcc()
+        target = table.storage.block_ids[1]
+        disk.rot_block(target)
+        rotten = disk.read_block(target)
+        with table.read_snapshot() as snap:
+            with pytest.raises(QuarantinedBlockError) as ei:
+                snap.select(ALL)
+        assert ei.value.block_id == target
+        assert target in table.quarantined_blocks
+        # Snapshot readers never repair, even under "repair".
+        assert disk.read_block(target) == rotten
+
+    def test_skip_policy_skips_and_flags(self):
+        table, disk = build("skip")
+        table.enable_mvcc()
+        target = table.storage.block_ids[1]
+        lost = table.storage.block_tuple_count(1)
+        disk.rot_block(target)
+        with table.read_snapshot() as snap:
+            result = snap.select(ALL)
+        assert result.skipped_blocks == [target]
+        assert result.cardinality == len(table) - lost
+        assert result.profile is not None
+
+    def test_quarantined_block_is_refused(self):
+        table, disk = build("raise")
+        table.enable_mvcc()
+        member = table.storage.read_block(1)[0]
+        rot_and_scrub(table, disk)
+        with table.read_snapshot() as snap:
+            with pytest.raises(QuarantinedBlockError):
+                snap.select(ALL)
+            with pytest.raises(QuarantinedBlockError):
+                snap.contains(member)
+
+    def test_checked_against_the_snapshots_own_directory(self):
+        """After compact() the live table no longer knows the old
+        blocks' checksums, but a pre-compaction snapshot still reads
+        them — and must still catch rot in them."""
+        table, disk = build("raise")
+        table.enable_mvcc()
+        old_ids = table.storage.block_ids
+        with table.read_snapshot() as snap:
+            expected = sorted(snap.scan())
+            table.compact()
+            assert not set(old_ids) & set(table.storage.block_ids)
+            assert sorted(snap.scan()) == expected
+            disk.rot_block(old_ids[0])
+            with pytest.raises(QuarantinedBlockError):
+                snap.scan()
+        # The live table is untouched by rot in blocks it abandoned.
+        assert sorted(table.select(ALL).tuples) == expected

@@ -64,7 +64,7 @@ EXPECTED_EXPORTS = {
         "response_time_s", "improvement_percent", "ResponseTimeRow",
         "response_time_table", "MachineProfile", "HP_9000_735", "SUN_4_50",
         "DEC_5000_120", "PAPER_MACHINES", "calibrated_profile",
-        "mean_time_ms", "StageTimer", "Stopwatch", "WorkloadCost",
+        "mean_time_ms", "WorkloadCost",
         "simulate_workload",
         "predicted_workload_cost",
     ],
