@@ -166,21 +166,27 @@ def _cmd_query(args: argparse.Namespace) -> int:
         schema = reader.schema
         domain = schema.attribute(args.attr).domain
         lo_raw, hi_raw = args.between
-        lo = domain.encode_bound(_coerce(lo_raw))
-        hi = domain.encode_bound(_coerce(hi_raw))
-        if lo > hi:
+        encoded = domain.encode_range(_coerce(lo_raw), _coerce(hi_raw))
+        if encoded is not None and encoded[0] > encoded[1]:
             raise ReproError(
                 f"{lo_raw!r}..{hi_raw!r} is inverted under the domain order"
             )
         pos = schema.position(args.attr)
 
-        if pos == 0:
+        candidates: List[int]
+        if encoded is None:
+            # The range misses the domain: it selects nothing.
+            lo, hi = 0, -1
+            candidates = []
+        elif pos == 0:
             # Clustering attribute: only the overlapping ordinal range.
+            lo, hi = encoded
             w0 = schema.mapper.weights[0]
             candidates = reader.blocks_overlapping(
                 lo * w0, (hi + 1) * w0 - 1
             )
         else:
+            lo, hi = encoded
             candidates = list(range(reader.num_blocks))
 
         # Stage timing runs through repro.obs — the sanctioned clock

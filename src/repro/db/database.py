@@ -206,7 +206,13 @@ class Database:
         table = self.table(name)
         schema = table.schema
         domain = schema.attribute(attribute).domain
-        lo_ord, hi_ord = domain.encode_bound(lo), domain.encode_bound(hi)
+        encoded = domain.encode_range(lo, hi)
+        if encoded is None:
+            # A range that misses the domain selects nothing.
+            return [], QueryResult(
+                tuples=[], blocks_read=0, tuples_examined=0, access_path="empty"
+            )
+        lo_ord, hi_ord = encoded
         if lo_ord > hi_ord:
             raise QueryError(
                 f"{lo!r}..{hi!r} is an inverted range under "

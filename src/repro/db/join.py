@@ -14,14 +14,23 @@ at once:
   table once, joining in memory.  No index needed; ``O(B_outer *
   B_inner)`` block reads, which the result's counters make visible.
 
+Both read every block through the table's guarded read
+(:meth:`Table._read_block_id`), like a select: quarantined blocks are
+refused, and corruption is repaired under the ``"repair"`` policy or
+raised as :class:`~repro.errors.QuarantinedBlockError` otherwise.  A
+join has no way to report a partial answer, so ``"skip"`` raises too.
+Inner blocks in ordinal-array form are matched with a column mask
+(:mod:`repro.db.blockfilter`), building tuples only for partners.
+
 Results are ordinal tuples ``outer + inner`` over a combined schema.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
+from repro.db.blockfilter import block_tuples, match_block, match_values
 from repro.db.table import Table
 from repro.errors import QueryError
 from repro.relational.schema import Attribute, Schema
@@ -71,6 +80,18 @@ def _check_join_compatible(
     return opos, ipos
 
 
+def _outer_groups(
+    table: Table, position: int
+) -> Iterator[Dict[int, List[Tuple[int, ...]]]]:
+    """Each block's tuples grouped by join value, read block by block."""
+    codec = table.storage.ordinal_codec
+    for block_id in table.storage.block_ids:
+        groups: Dict[int, List[Tuple[int, ...]]] = {}
+        for t in block_tuples(table._read_block_id(block_id), codec):
+            groups.setdefault(t[position], []).append(t)
+        yield groups
+
+
 def index_nested_loop_join(
     outer: Table,
     outer_attr: str,
@@ -80,9 +101,8 @@ def index_nested_loop_join(
     """Equi-join probing the inner table's index per outer tuple.
 
     The inner table must have a secondary or hash index on
-    ``inner_attr``.  Probed inner blocks are cached per distinct join
-    value within the processing of one outer block, so repeated values
-    do not re-read blocks.
+    ``inner_attr``.  Each outer block probes once per distinct join
+    value, so repeated values do not re-read inner blocks.
     """
     opos, ipos = _check_join_compatible(outer, outer_attr, inner, inner_attr)
     hash_idx = inner.hash_indices.get(inner_attr)
@@ -104,23 +124,20 @@ def index_nested_loop_join(
     inner_blocks = 0
     probes = 0
 
-    for _, outer_tuples in outer.storage.iter_blocks():
+    codec = inner.storage.ordinal_codec
+    # one probe per distinct join value of each outer block
+    for by_value in _outer_groups(outer, opos):
         outer_blocks += 1
-        # group the block's tuples by join value: one probe per value
-        by_value = {}
-        for t in outer_tuples:
-            by_value.setdefault(t[opos], []).append(t)
         for value, group in by_value.items():
             probes += 1
-            block_cache = {}
             for block_id in probe(value):
-                if block_id not in block_cache:
-                    block_cache[block_id] = inner._read_block_id(block_id)
-                    inner_blocks += 1
-                for inner_tuple in block_cache[block_id]:
-                    if inner_tuple[ipos] == value:
-                        for outer_tuple in group:
-                            out.append(tuple(outer_tuple) + tuple(inner_tuple))
+                inner_blocks += 1
+                block = inner._read_block_id(block_id)
+                for inner_tuple in match_block(
+                    block, [(ipos, value, value)], codec
+                ):
+                    for outer_tuple in group:
+                        out.append(outer_tuple + inner_tuple)
     return JoinResult(
         schema=schema,
         tuples=out,
@@ -144,18 +161,15 @@ def block_nested_loop_join(
     outer_blocks = 0
     inner_blocks = 0
 
-    for _, outer_tuples in outer.storage.iter_blocks():
+    codec = inner.storage.ordinal_codec
+    for by_value in _outer_groups(outer, opos):
         outer_blocks += 1
-        by_value = {}
-        for t in outer_tuples:
-            by_value.setdefault(t[opos], []).append(t)
-        for _, inner_tuples in inner.storage.iter_blocks():
+        for block_id in inner.storage.block_ids:
             inner_blocks += 1
-            for inner_tuple in inner_tuples:
-                group = by_value.get(inner_tuple[ipos])
-                if group:
-                    for outer_tuple in group:
-                        out.append(tuple(outer_tuple) + tuple(inner_tuple))
+            block = inner._read_block_id(block_id)
+            for inner_tuple in match_values(block, ipos, by_value, codec):
+                for outer_tuple in by_value[inner_tuple[ipos]]:
+                    out.append(outer_tuple + inner_tuple)
     return JoinResult(
         schema=schema,
         tuples=out,

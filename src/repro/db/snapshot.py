@@ -28,6 +28,13 @@ Snapshot reads never repair: a repair rewrites a block, and only the
 writer writes blocks.  Payload decodes bypass the decoded-block cache,
 which answers "what does this block hold *now*".
 
+A verified payload decodes through
+:meth:`~repro.storage.avqfile.AVQFile.decode_payload`, the same block
+form live reads use: for a vectorised codec the block's phi-sorted
+int64 ordinal array, with no tuple built until a row matches (see
+:mod:`repro.db.blockfilter`); otherwise the tuple list.  Point probes
+binary-search that array for ``phi(t)``.
+
 A snapshot pins superseded block versions, so it must be closed;
 ``with table.read_snapshot() as snap: ...`` is the idiomatic form.
 """
@@ -38,8 +45,10 @@ import zlib
 from bisect import bisect_left, bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.db.blockfilter import block_contains
 from repro.db.query import QueryResult, RangeQuery, SelectPlan
 from repro.errors import CorruptionError, QueryError
+from repro.storage.block import DecodedBlock
 from repro.storage.mvcc import BlockVersionStore, SnapshotHandle
 
 __all__ = ["TableSnapshot"]
@@ -109,7 +118,7 @@ class TableSnapshot:
         self._require_open()
         return self._table._execute(
             self.plan(query),
-            self._read_tuples,
+            self._read_block,
             span="snapshot.select",
             should_cancel=should_cancel,
             csn=self.csn,
@@ -152,7 +161,8 @@ class TableSnapshot:
         i = bisect_left(self._handle.lasts, ordinal)
         if i == len(self._handle.lasts) or self._handle.firsts[i] > ordinal:
             return False
-        return t in self._read_tuples(self._handle.directory[i][0])
+        block = self._read_block(self._handle.directory[i][0])
+        return block_contains(block, t, ordinal)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -180,7 +190,7 @@ class TableSnapshot:
         if self._closed:
             raise QueryError("snapshot is closed")
 
-    def _read_tuples(self, block_id: int) -> List[Tuple[int, ...]]:
+    def _read_block(self, block_id: int) -> DecodedBlock:
         """One block as of the snapshot, CRC-checked before decoding."""
         table = self._table
         integrity = table.integrity

@@ -36,6 +36,7 @@ from repro.errors import (
     QueryCancelled,
     QueryError,
 )
+from repro.db.blockfilter import block_contains, match_block
 from repro.db.query import QueryResult, RangeQuery, SelectPlan
 from repro.obs import runtime as _obs
 from repro.obs.profile import QueryProfile, QueryProfiler
@@ -45,6 +46,7 @@ from repro.index.secondary import SecondaryIndex
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.storage.avqfile import AVQFile
+from repro.storage.block import DecodedBlock
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heapfile import HeapFile
 from repro.storage.integrity import (
@@ -454,7 +456,7 @@ class Table:
     def _execute(
         self,
         plan: SelectPlan,
-        read: Optional[Callable[[int], List[Tuple[int, ...]]]] = None,
+        read: Optional[Callable[[int], DecodedBlock]] = None,
         *,
         span: str = "query.select",
         should_cancel: Optional[Callable[[], bool]] = None,
@@ -465,7 +467,11 @@ class Table:
         Reads each candidate block through ``read`` (default: the live
         guarded :meth:`_read_block_id`; snapshots pass their
         CRC-verified version read) and keeps the tuples inside every
-        bound range.  ``should_cancel`` is polled before each block; a
+        bound range.  A block in ordinal-array form is filtered in phi
+        space and only its matches become tuples; a tuple-list block
+        takes the per-tuple loop (:func:`~repro.db.blockfilter.match_block`).
+        ``tuples_examined`` counts every tuple of every block read
+        either way.  ``should_cancel`` is polled before each block; a
         ``True`` aborts with :class:`~repro.errors.QueryCancelled`.  A
         :class:`~repro.errors.QuarantinedBlockError` is skipped and
         reported under the "skip" degraded-read policy and raised under
@@ -475,6 +481,7 @@ class Table:
         if read is None:
             read = self._read_block_id
         bound = plan.bound
+        ordinal_codec = self._storage.ordinal_codec
         profiler = QueryProfiler(
             self._disk().stats,
             self._buffer.stats if self._buffer is not None else None,
@@ -500,7 +507,7 @@ class Table:
                     )
                 t0 = _obs.now_ms()
                 try:
-                    tuples = read(block_id)
+                    block = read(block_id)
                 except QuarantinedBlockError:
                     fetch_ms += _obs.now_ms() - t0
                     if not self._skip_degraded():
@@ -509,10 +516,8 @@ class Table:
                     continue
                 t1 = _obs.now_ms()
                 fetch_ms += t1 - t0
-                for t in tuples:
-                    examined += 1
-                    if all(lo <= t[pos] <= hi for pos, lo, hi in bound):
-                        out.append(t)
+                examined += len(block)
+                out.extend(match_block(block, bound, ordinal_codec))
                 filter_ms += _obs.now_ms() - t1
         profile = profiler.finish(
             access_path=plan.access_path,
@@ -537,8 +542,12 @@ class Table:
             profile=profile,
         )
 
-    def _read_block_id(self, block_id: int):
+    def _read_block_id(self, block_id: int) -> DecodedBlock:
         """Fetch and decode one block, through the caches where present.
+
+        Returns the storage's query block form
+        (:meth:`AVQFile.decode_payload`): the phi-ordinal array when the
+        codec decodes vectorised, else the tuple list.
 
         The decoded-block cache is consulted first (a hit costs neither
         I/O nor decode), then the raw buffer pool (a hit costs only the
@@ -551,12 +560,15 @@ class Table:
             self._integrity.check(block_id)
         return self._guarded(lambda: self._read_block_id_raw(block_id))
 
-    def _read_block_id_raw(self, block_id: int):
+    def _read_block_id_raw(self, block_id: int) -> DecodedBlock:
         if self._decoded is not None:
             return self._decoded.get(block_id)
+        storage = self._storage
         if self._buffer is not None:
-            return self._storage.decode_payload(self._buffer.get(block_id))
-        return self._storage.read_block_id(block_id)
+            return storage.decode_payload(self._buffer.get(block_id))
+        if isinstance(storage, AVQFile):
+            return storage.decode_payload(storage.read_payload_id(block_id))
+        return storage.read_block_id(block_id)
 
     def _guarded(self, read: Callable[[], _T]) -> _T:
         """Run a read under the integrity policy, retrying after repair.
@@ -1050,8 +1062,9 @@ class Table:
             self._integrity.check(storage.block_id_at(pos))
         if self._decoded is not None:
             # Decode through the cache: the first probe of a block
-            # pays one decode, every repeat probe is free.
-            return t in self._decoded.get(storage.block_id_at(pos))
+            # pays one decode, every repeat probe is a binary search.
+            block = self._decoded.get(storage.block_id_at(pos))
+            return block_contains(block, t, ordinal)
         return storage.contains_ordinal(ordinal)
 
     def delete_where(self, query: RangeQuery) -> int:

@@ -19,7 +19,7 @@ defines the phi radix so that encodings remain stable as strings arrive).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.errors import DomainError, SchemaError
 
@@ -64,6 +64,15 @@ class Domain:
         """
         return self.encode(value)
 
+    def encode_range(self, lo, hi) -> Optional[Tuple[int, int]]:
+        """Encode a query range ``lo .. hi``; ``None`` if it selects nothing.
+
+        The default encodes each bound with :meth:`encode_bound`.  The
+        pair may come back inverted under the domain order; callers
+        report that as an error.
+        """
+        return self.encode_bound(lo), self.encode_bound(hi)
+
     def _check_ordinal(self, ordinal: int) -> None:
         if not 0 <= ordinal < self.size:
             raise DomainError(
@@ -100,10 +109,7 @@ class IntegerRangeDomain(Domain):
         return self._hi - self._lo + 1
 
     def encode(self, value) -> int:
-        try:
-            v = int(value)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"{value!r} is not an integer") from exc
+        v = _as_int(value)
         if not self._lo <= v <= self._hi:
             raise DomainError(
                 f"{v} outside integer range [{self._lo}, {self._hi}]"
@@ -116,11 +122,28 @@ class IntegerRangeDomain(Domain):
 
     def encode_bound(self, value) -> int:
         """Clamp a query bound into the range before encoding."""
-        try:
-            v = int(value)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"{value!r} is not an integer") from exc
+        v = _as_int(value)
         return self.encode(min(max(v, self._lo), self._hi))
+
+    def encode_range(self, lo, hi) -> Optional[Tuple[int, int]]:
+        """Clamp a range that overlaps the domain; ``None`` if it misses.
+
+        Both bounds are clamped together, not one at a time: clamped
+        alone, a range wholly outside the domain (``a == 50`` on
+        ``0 .. 9``) would collapse onto the edge value and select the
+        rows holding it.
+
+        >>> d = IntegerRangeDomain(0, 9)
+        >>> d.encode_range(-5, 3), d.encode_range(50, 50)
+        ((0, 3), None)
+        """
+        v_lo, v_hi = _as_int(lo), _as_int(hi)
+        if v_lo > v_hi:
+            # Inverted: keep it inverted (unclamped) so callers report it.
+            return v_lo - self._lo, v_hi - self._lo
+        if v_hi < self._lo or v_lo > self._hi:
+            return None
+        return self.encode_bound(v_lo), self.encode_bound(v_hi)
 
     def __repr__(self) -> str:
         return f"IntegerRangeDomain({self._lo}, {self._hi})"
@@ -241,3 +264,10 @@ class StringDomain(Domain):
             f"StringDomain(capacity={self._capacity}, "
             f"population={len(self._table)})"
         )
+
+
+def _as_int(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{value!r} is not an integer") from exc

@@ -571,15 +571,23 @@ class ReproServer:
         table = self._db.table(_field(request, "table", str))
         schema = table.schema
         predicates: List[RangePredicate] = []
+        misses_domain = False
         for spec in request.get("predicates", ()):
             if not isinstance(spec, dict):
                 raise ProtocolError("predicate must be an object")
             attribute = _field(spec, "attribute", str)
             domain = schema.attribute(attribute).domain
-            lo = domain.encode_bound(spec.get("lo"))
-            hi = domain.encode_bound(spec.get("hi"))
-            predicates.append(RangePredicate(attribute, lo, hi))
+            encoded = domain.encode_range(spec.get("lo"), spec.get("hi"))
+            if encoded is None:
+                misses_domain = True
+            else:
+                predicates.append(RangePredicate(attribute, *encoded))
         with table.read_snapshot() as snapshot:
+            if misses_domain:
+                # A range outside its attribute's domain selects nothing.
+                return ok_response(
+                    rows=[], count=0, csn=snapshot.csn, blocks_read=0
+                )
             result = snapshot.select(
                 RangeQuery(predicates), should_cancel=cancel.is_set
             )

@@ -17,14 +17,19 @@ from __future__ import annotations
 
 import bisect
 import zlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.codec import BlockCodec
 from repro.errors import BlockOverflowError, CorruptionError, RepairError, StorageError
+from repro.obs import runtime as _obs
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
+from repro.storage.block import DecodedBlock
 from repro.storage.disk import SimulatedDisk
 from repro.storage.packer import pack_runs
+
+if TYPE_CHECKING:  # circular at type level only
+    from repro.core.vectorized import VectorizedBlockCodec
 
 __all__ = ["AVQFile"]
 
@@ -44,6 +49,13 @@ class AVQFile:
         self._codec = codec or BlockCodec(schema.domain_sizes)
         if self._codec.mapper.domain_sizes != schema.domain_sizes:
             raise StorageError("codec domain sizes do not match the schema")
+        # Duck-typed alternative codecs (e.g. GolombBlockCodec) have no
+        # vectorised companion; they and schemas whose corrupt payloads
+        # could overflow the int64 decode keep tuple-list blocks.
+        vec = getattr(self._codec, "vector_codec", None)
+        self._ordinal_codec: Optional["VectorizedBlockCodec"] = (
+            vec if vec is not None and vec.decode_supported else None
+        )
         self._block_ids: List[int] = []
         self._block_min: List[int] = []   # first ordinal in each block
         self._block_max: List[int] = []   # last ordinal in each block
@@ -230,6 +242,15 @@ class AVQFile:
         return self._codec
 
     @property
+    def ordinal_codec(self) -> Optional["VectorizedBlockCodec"]:
+        """The codec behind :meth:`decode_payload`'s ordinal arrays.
+
+        ``None`` when the codec cannot decode to an overflow-safe int64
+        array; :meth:`decode_payload` then returns tuple lists.
+        """
+        return self._ordinal_codec
+
+    @property
     def num_blocks(self) -> int:
         """Blocks occupied on disk — the coded ``N`` of Figure 5.8."""
         return len(self._block_ids)
@@ -291,12 +312,15 @@ class AVQFile:
         """Read and decode a block by its stable disk id.
 
         Indices store disk ids (they survive block splits, unlike
-        positions); this is the access path a query takes after an index
-        probe.  Checksum-verified like :meth:`read_payload`.
+        positions).  Checksum-verified like :meth:`read_payload`.
         """
+        return self._codec.decode_block(self.read_payload_id(block_id))
+
+    def read_payload_id(self, block_id: int) -> bytes:
+        """Read one block's raw payload by disk id, checksum-verified."""
         payload = self._disk.read_block(block_id)
         self.verify_payload(block_id, payload)
-        return self._codec.decode_block(payload)
+        return payload
 
     def verify_payload(self, block_id: int, payload: bytes) -> None:
         """Check a payload against the block's recorded checksum.
@@ -325,9 +349,29 @@ class AVQFile:
         except ValueError:
             return None
 
-    def decode_payload(self, payload: bytes) -> List[Tuple[int, ...]]:
-        """Decode a raw block payload (no I/O) — the buffer-pool path."""
-        return self._codec.decode_block(payload)
+    def decode_payload(self, payload: bytes) -> DecodedBlock:
+        """Decode a raw block payload (no I/O) into the query block form.
+
+        With an :attr:`ordinal_codec` this is the block's phi-sorted
+        int64 ordinal array, marked read-only because the decoded-block
+        cache hands one array to every reader.  It is the vectorised
+        decode without ``phi_inverse`` or tuple building, under the same
+        payload checks.  Other codecs return the tuple list.
+        """
+        vec = self._ordinal_codec
+        if vec is None:
+            return self._codec.decode_block(payload)
+        reg = _obs.REGISTRY
+        t0 = _obs.now_ms() if reg is not None else 0.0
+        ordinals = vec.decode_ordinals_array(payload)
+        ordinals.flags.writeable = False
+        if reg is not None:
+            # Counted like BlockCodec.decode_block's vector path.
+            reg.inc("codec.blocks_decoded")
+            reg.inc("codec.tuples_decoded", len(ordinals))
+            reg.inc("codec.vector_decodes")
+            reg.observe("codec.decode_ms", _obs.now_ms() - t0)
+        return ordinals
 
     def scan(self) -> Iterator[Tuple[int, ...]]:
         """Full relation scan in phi order."""

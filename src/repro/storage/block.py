@@ -9,13 +9,22 @@ keep it configurable for the block-size ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple, Union
+
+import numpy as np
 
 from repro.errors import StorageError
 
-__all__ = ["DEFAULT_BLOCK_SIZE", "Block"]
+__all__ = ["DEFAULT_BLOCK_SIZE", "Block", "DecodedBlock"]
 
 #: The paper's Section 5.2 block size.
 DEFAULT_BLOCK_SIZE = 8192
+
+#: One decoded data block.  A vectorised AVQ codec yields the block's
+#: phi-sorted, read-only int64 ordinal array; heap blocks and ordinal
+#: spaces too wide for the overflow-safe int64 decode yield the list of
+#: ordinal tuples.
+DecodedBlock = Union[np.ndarray, List[Tuple[int, ...]]]
 
 
 @dataclass(frozen=True)

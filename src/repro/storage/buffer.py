@@ -12,8 +12,10 @@ higher tuple hit rate for the same pool size).
 For a *compressed* relation a repeat access still pays the decode cost
 ``t2`` even when the raw payload is resident.  :class:`DecodedBlockCache`
 layers a second LRU on top of the pool, keyed by the same disk block id
-but holding the **decoded tuples**, so repeated point and range lookups
-skip RLE decoding entirely.  The layering keeps invalidation honest: a
+but holding the **decoded block**, so repeated point and range lookups
+skip RLE decoding entirely.  For a vectorised AVQ table that is the
+block's read-only phi-ordinal array (8 bytes per tuple); for heap
+tables and very wide schemas it is the tuple list.  The layering keeps invalidation honest: a
 block rewritten on disk (Section 4.2 mutation, block split, compaction)
 is invalidated through :meth:`BufferPool.invalidate`, and the pool
 cascades the drop to every attached decoded cache — a stale payload and
@@ -35,11 +37,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from repro.errors import StorageError
 from repro.obs import runtime as _obs
 from repro.obs.snapshot import snapshot_dataclass
+from repro.storage.block import DecodedBlock
 from repro.storage.disk import SimulatedDisk
 
 if TYPE_CHECKING:  # circular at type level only
@@ -47,8 +50,9 @@ if TYPE_CHECKING:  # circular at type level only
 
 __all__ = ["BufferPool", "BufferStats", "DecodedBlockCache"]
 
-#: Type of the payload -> tuples decoder a decoded cache runs on a miss.
-Decoder = Callable[[bytes], List[Tuple[int, ...]]]
+#: Type of the payload -> decoded block decoder a decoded cache runs on
+#: a miss (``AVQFile.decode_payload`` for a table's cache).
+Decoder = Callable[[bytes], DecodedBlock]
 
 #: Type of the integrity check a pool runs on every payload it admits:
 #: ``(block_id, payload)``, raising
@@ -260,7 +264,7 @@ class DecodedBlockCache:
     """Fixed-capacity LRU cache of *decoded* blocks over a buffer pool.
 
     Keyed by disk block id, like the pool underneath.  A hit returns the
-    cached tuple list with no I/O and no decode; a miss fetches the
+    cached decoded block with no I/O and no decode; a miss fetches the
     payload through the pool (which may itself hit or miss) and decodes
     it once.  Counters live on the shared ``pool.stats`` so one object
     tells the whole caching story.
@@ -269,8 +273,9 @@ class DecodedBlockCache:
     ``invalidate``/``clear`` — the calls every Section 4.2 mutation path
     already makes — keep it consistent for free.
 
-    Callers must treat returned lists as immutable: the same list object
-    is handed to every hit.
+    Callers must treat returned blocks as immutable: the same object is
+    handed to every hit (``AVQFile.decode_payload`` marks its ordinal
+    arrays read-only).
     """
 
     def __init__(
@@ -283,7 +288,7 @@ class DecodedBlockCache:
         self._pool = pool
         self._capacity = capacity
         self._decoder = decoder
-        self._frames: "OrderedDict[int, List[Tuple[int, ...]]]" = OrderedDict()
+        self._frames: "OrderedDict[int, DecodedBlock]" = OrderedDict()
         # Adopt the pool's latch rather than owning one: a get here takes
         # cache-then-pool while an invalidate takes pool-then-cache, so
         # two locks would deadlock (see module docstring).
@@ -310,8 +315,8 @@ class DecodedBlockCache:
         """The shared counters (same object as ``pool.stats``)."""
         return self._pool.stats
 
-    def get(self, block_id: int) -> List[Tuple[int, ...]]:
-        """Return a block's decoded tuples, decoding only on a miss."""
+    def get(self, block_id: int) -> DecodedBlock:
+        """Return a block's decoded form, decoding only on a miss."""
         with self._latch:
             self._pool.check_quarantine(block_id)
             reg = _obs.REGISTRY
@@ -322,19 +327,19 @@ class DecodedBlockCache:
                 if reg is not None:
                     reg.inc("cache.decoded_hits")
                 return cached
-            tuples = self._decoder(self._pool.get(block_id))
+            block = self._decoder(self._pool.get(block_id))
             self.stats.decoded_misses += 1
             if reg is not None:
                 reg.inc("cache.decoded_misses")
-            self._frames[block_id] = tuples
+            self._frames[block_id] = block
             if len(self._frames) > self._capacity:
                 self._frames.popitem(last=False)
                 self.stats.decoded_evictions += 1
                 if reg is not None:
                     reg.inc("cache.decoded_evictions")
-            return tuples
+            return block
 
-    def peek(self, block_id: int) -> Optional[List[Tuple[int, ...]]]:
+    def peek(self, block_id: int) -> Optional[DecodedBlock]:
         """The cached decode of a block, or ``None`` — never decodes.
 
         Point probes use this to exploit a warm cache without forcing a

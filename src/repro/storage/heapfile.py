@@ -113,6 +113,11 @@ class HeapFile:
         return self._capacity
 
     @property
+    def ordinal_codec(self) -> None:
+        """Always ``None``: heap blocks decode to tuple lists."""
+        return None
+
+    @property
     def block_ids(self) -> List[int]:
         """Disk block ids, in phi-cluster order."""
         return list(self._block_ids)

@@ -56,6 +56,16 @@ class TestCreateAndQuery:
         with pytest.raises(QueryError):
             db.select_values("emp", "department", "production", "management")
 
+    def test_range_outside_the_domain_selects_nothing(self, db):
+        # years spans 12..39; a clamp per bound would return the rows
+        # at the edges (12 and 39).
+        for lo, hi in ((50, 60), (0, 5)):
+            rows, result = db.select_values("emp", "years", lo, hi)
+            assert rows == []
+            assert result.blocks_read == 0
+        rows, _ = db.select_values("emp", "years", 35, 99)
+        assert sorted(r[2] for r in rows) == [39]
+
     def test_unknown_table_rejected(self, db):
         with pytest.raises(QueryError):
             db.table("nope")

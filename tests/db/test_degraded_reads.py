@@ -19,6 +19,7 @@ import pytest
 
 from repro.db.aggregates import aggregate
 from repro.db.database import Database
+from repro.db.join import block_nested_loop_join, index_nested_loop_join
 from repro.db.query import RangeQuery
 from repro.db.table import Table
 from repro.errors import (
@@ -358,3 +359,40 @@ class TestSnapshotReads:
                 snap.scan()
         # The live table is untouched by rot in blocks it abandoned.
         assert sorted(table.select(ALL).tuples) == expected
+
+
+class TestJoinReads:
+    """Joins read every block through the guarded read, like selects."""
+
+    JOINS = [block_nested_loop_join, index_nested_loop_join]
+
+    def tables(self, policy, rotted):
+        table, disk = build(policy)
+        values = [(i, i % 9, i % 4) for i in range(90)]
+        schema = SchemaInferencer().infer(values, ["a", "b", "c"])
+        other = Table.from_relation(
+            "u", Relation.from_values(schema, values),
+            SimulatedDisk(block_size=256), secondary_on=["b"],
+        )
+        pair = (table, other) if rotted == "outer" else (other, table)
+        return table, disk, pair
+
+    @pytest.mark.parametrize("join", JOINS)
+    @pytest.mark.parametrize("rotted", ["outer", "inner"])
+    def test_repair_policy_join_is_exact(self, join, rotted):
+        table, disk, (outer, inner) = self.tables("repair", rotted)
+        expected = sorted(join(outer, "b", inner, "b").tuples)
+        disk.rot_block(table.storage.block_ids[1])
+        assert sorted(join(outer, "b", inner, "b").tuples) == expected
+        assert table.quarantined_blocks == []
+
+    @pytest.mark.parametrize("join", JOINS)
+    @pytest.mark.parametrize("rotted", ["outer", "inner"])
+    def test_raise_policy_join_quarantines(self, join, rotted):
+        table, disk, (outer, inner) = self.tables("raise", rotted)
+        target = table.storage.block_ids[1]
+        disk.rot_block(target)
+        with pytest.raises(QuarantinedBlockError) as ei:
+            join(outer, "b", inner, "b")
+        assert ei.value.block_id == target
+        assert target in table.quarantined_blocks

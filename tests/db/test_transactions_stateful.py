@@ -31,6 +31,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.db.blockfilter import block_tuples
 from repro.db.query import RangeQuery
 from repro.db.table import Table
 from repro.db.transactions import Transaction
@@ -165,7 +166,9 @@ class TransactionModel(RuleBasedStateMachine):
         via_cache = Counter()
         for pos in range(storage.num_blocks):
             block_id = storage.block_id_at(pos)
-            via_cache.update(tuple(t) for t in cache.get(block_id))
+            via_cache.update(
+                block_tuples(cache.get(block_id), storage.ordinal_codec)
+            )
         assert via_cache == Counter(
             {t: n for t, n in self.model.items() if n}
         )

@@ -81,6 +81,24 @@ class TestQuery:
         x, y = int(tail.split()[0]), int(tail.split()[2])
         assert x < y
 
+    def test_range_outside_the_domain_selects_nothing(
+        self, csv_path, tmp_path, capsys
+    ):
+        avq = str(tmp_path / "data.avq")
+        main(["compress", csv_path, avq, "--block-size", "512"])
+        capsys.readouterr()
+        for lo, hi in (("500", "600"), ("-10", "-1")):
+            assert main(
+                ["query", avq, "--attr", "years", "--between", lo, hi]
+            ) == 0
+            out = capsys.readouterr().out
+            assert "-- 0 matching rows; decoded 0 of" in out
+        assert main(
+            ["query", avq, "--attr", "years", "--between", "40", "500"]
+        ) == 0
+        expected = sum(1 for r in ROWS if r[1] >= 40)
+        assert f"-- {expected} matching rows" in capsys.readouterr().out
+
     def test_inverted_range_fails_cleanly(self, csv_path, tmp_path, capsys):
         avq = str(tmp_path / "data.avq")
         main(["compress", csv_path, avq])

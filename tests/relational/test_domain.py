@@ -47,6 +47,16 @@ class TestIntegerRangeDomain:
         with pytest.raises(DomainError):
             d.decode(10)
 
+    def test_range_clamps_only_when_it_overlaps(self):
+        d = IntegerRangeDomain(0, 9)
+        assert d.encode_range(-5, 3) == (0, 3)
+        assert d.encode_range(4, 50) == (4, 9)
+        assert d.encode_range(-5, 50) == (0, 9)
+        assert d.encode_range(50, 50) is None
+        assert d.encode_range(-5, -1) is None
+        lo, hi = d.encode_range(50, 40)  # inverted stays inverted
+        assert lo > hi
+
     def test_contains(self):
         d = IntegerRangeDomain(0, 9)
         assert d.contains(5)

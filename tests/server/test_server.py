@@ -102,6 +102,33 @@ class TestRequests:
 
         run(scenario())
 
+    def test_range_outside_the_domain_selects_nothing(self):
+        """Bounds wholly outside ``a``'s domain (0..3) used to clamp one
+        by one onto the edge value and return its rows."""
+        async def scenario():
+            async with serving() as (server, host, port):
+                async with await AsyncReproClient.connect(host, port) as c:
+                    for lo, hi in ((50, 50), (-5, -1)):
+                        result = await c.request({
+                            "op": "select",
+                            "table": "t",
+                            "predicates": [
+                                {"attribute": "a", "lo": lo, "hi": hi}
+                            ],
+                        })
+                        assert result["status"] == "ok"
+                        assert result["rows"] == []
+                        assert result["count"] == 0
+                    # A range overlapping the domain is still clamped.
+                    result = await c.request({
+                        "op": "select",
+                        "table": "t",
+                        "predicates": [{"attribute": "a", "lo": 3, "hi": 50}],
+                    })
+                    assert result["count"] == 2
+
+        run(scenario())
+
     def test_errors_are_typed_responses(self):
         async def scenario():
             async with serving() as (server, host, port):
